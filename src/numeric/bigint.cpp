@@ -136,7 +136,8 @@ void BigInt::trim(LimbVector& limbs) noexcept {
   while (!limbs.empty() && limbs.back() == 0) limbs.pop_back();
 }
 
-int BigInt::compare_magnitude(const LimbVector& a, const LimbVector& b) noexcept {
+int BigInt::compare_magnitude(std::span<const std::uint32_t> a,
+                              std::span<const std::uint32_t> b) noexcept {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (std::size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -192,9 +193,10 @@ LimbVector BigInt::sub_magnitude(const LimbVector& a, const LimbVector& b) {
 
 namespace {
 
-// Schoolbook product (O(n*m)); the base case of the Karatsuba recursion.
-LimbVector schoolbook_mul(const LimbVector& a, const LimbVector& b) {
-  LimbVector result(a.size() + b.size(), 0);
+// Schoolbook product (O(n*m)) into zeroed storage of a.size() + b.size()
+// limbs; the base case of the Karatsuba recursion.
+void schoolbook_mul_into(std::uint32_t* result, std::span<const std::uint32_t> a,
+                         std::span<const std::uint32_t> b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i] == 0) continue;
     std::uint64_t carry = 0;
@@ -203,14 +205,13 @@ LimbVector schoolbook_mul(const LimbVector& a, const LimbVector& b) {
       result[i + j] = static_cast<std::uint32_t>(cur & 0xffffffffu);
       carry = cur >> 32;
     }
-    std::size_t k = i + b.size();
-    while (carry != 0) {
-      std::uint64_t cur = result[k] + carry;
-      result[k] = static_cast<std::uint32_t>(cur & 0xffffffffu);
-      carry = cur >> 32;
-      ++k;
-    }
+    result[i + b.size()] = static_cast<std::uint32_t>(carry);  // no earlier row reached it
   }
+}
+
+LimbVector schoolbook_mul(const LimbVector& a, const LimbVector& b) {
+  LimbVector result(a.size() + b.size(), 0);
+  schoolbook_mul_into(result.data(), a, b);
   return result;
 }
 
@@ -531,6 +532,166 @@ BigInt& BigInt::operator/=(const BigInt& rhs) {
 
 BigInt& BigInt::operator%=(const BigInt& rhs) {
   *this = div_mod(*this, rhs).remainder;
+  return *this;
+}
+
+std::span<const std::uint32_t> BigInt::magnitude_view(std::uint32_t (&spill)[2]) const noexcept {
+  if (!limbs_.empty()) return {limbs_.data(), limbs_.size()};
+  spill[0] = static_cast<std::uint32_t>(small_);
+  spill[1] = static_cast<std::uint32_t>(small_ >> 32);
+  return {spill, small_ == 0 ? 0u : (spill[1] != 0 ? 2u : 1u)};
+}
+
+ExactDivisor::ExactDivisor(const BigInt& divisor) {
+  if (divisor.is_zero()) throw std::domain_error("BigInt: division by zero");
+  sign_ = divisor.sign_;
+  BigInt odd = divisor.abs();
+  LimbVector limbs = odd.magnitude_limbs();
+  while (limbs[twos_ / 32] == 0) twos_ += 32;
+  twos_ += static_cast<std::size_t>(std::countr_zero(limbs[twos_ / 32]));
+  odd >>= twos_;
+  odd_ = odd.magnitude_limbs();
+  // Newton iteration for the inverse mod 2^32: d * d == 1 (mod 8) gives 3
+  // correct bits, and each step doubles them.
+  const std::uint32_t d0 = odd_[0];
+  inverse_ = d0;
+  for (int step = 0; step < 4; ++step) inverse_ *= 2u - d0 * inverse_;
+}
+
+namespace {
+
+// out = a * b (schoolbook: tableau entries are a few dozen limbs, well
+// under the Karatsuba threshold).
+void mul_into(std::vector<std::uint32_t>& out, std::span<const std::uint32_t> a,
+              std::span<const std::uint32_t> b) {
+  out.assign(a.size() + b.size(), 0);
+  schoolbook_mul_into(out.data(), a, b);
+  while (!out.empty() && out.back() == 0) out.pop_back();
+}
+
+// acc += add (magnitudes).
+void add_into(std::vector<std::uint32_t>& acc, const std::vector<std::uint32_t>& add) {
+  if (acc.size() < add.size()) acc.resize(add.size(), 0);
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < acc.size() && (i < add.size() || carry != 0); ++i) {
+    const std::uint64_t sum = std::uint64_t{acc[i]} + (i < add.size() ? add[i] : 0u) + carry;
+    acc[i] = static_cast<std::uint32_t>(sum);
+    carry = sum >> 32;
+  }
+  if (carry != 0) acc.push_back(static_cast<std::uint32_t>(carry));
+}
+
+// big -= small (magnitudes, big >= small).
+void sub_into(std::vector<std::uint32_t>& big, const std::vector<std::uint32_t>& small) {
+  std::uint32_t borrow = 0;
+  for (std::size_t i = 0; i < big.size() && (i < small.size() || borrow != 0); ++i) {
+    const std::uint64_t sub = std::uint64_t{i < small.size() ? small[i] : 0u} + borrow;
+    borrow = std::uint64_t{big[i]} < sub ? 1u : 0u;
+    big[i] = static_cast<std::uint32_t>(std::uint64_t{big[i]} - sub);
+  }
+  while (!big.empty() && big.back() == 0) big.pop_back();
+}
+
+// work >>= bits in place (trimmed).
+void shift_right_into(std::vector<std::uint32_t>& work, std::size_t bits) {
+  const std::size_t limbs = bits / 32;
+  const unsigned rest = static_cast<unsigned>(bits % 32);
+  if (limbs >= work.size()) {
+    work.clear();
+    return;
+  }
+  const std::size_t size = work.size() - limbs;
+  for (std::size_t i = 0; i < size; ++i) {
+    std::uint64_t value = work[i + limbs] >> rest;
+    if (rest != 0 && i + limbs + 1 < work.size()) {
+      value |= std::uint64_t{work[i + limbs + 1]} << (32 - rest);
+    }
+    work[i] = static_cast<std::uint32_t>(value);
+  }
+  work.resize(size);
+  while (!work.empty() && work.back() == 0) work.pop_back();
+}
+
+}  // namespace
+
+BigInt& BigInt::assign_cross_quotient(const BigInt& a, const BigInt& b, const BigInt& c,
+                                      const BigInt& e, const ExactDivisor& d) {
+  // Scratch survives across calls (plain heap vectors: never arena memory,
+  // which a later reset would pull out from under them).
+  thread_local std::vector<std::uint32_t> left;
+  thread_local std::vector<std::uint32_t> right;
+  std::uint32_t spill[4][2];
+  const int left_sign = a.sign_ * b.sign_;
+  const int right_sign = -(c.sign_ * e.sign_);
+  if (left_sign != 0) {
+    mul_into(left, a.magnitude_view(spill[0]), b.magnitude_view(spill[1]));
+  } else {
+    left.clear();
+  }
+  if (right_sign != 0) {
+    mul_into(right, c.magnitude_view(spill[2]), e.magnitude_view(spill[3]));
+  } else {
+    right.clear();
+  }
+  // left_sign * |left| + right_sign * |right|, accumulated in `left`.
+  int sign = left_sign;
+  if (left_sign == 0) {
+    left.swap(right);
+    sign = right_sign;
+  } else if (right_sign == left_sign) {
+    add_into(left, right);
+  } else if (right_sign != 0) {
+    const int cmp = compare_magnitude(left, right);
+    if (cmp < 0) {
+      left.swap(right);
+      sign = right_sign;
+    }
+    sub_into(left, right);
+  }
+  shift_right_into(left, d.twos_);
+  if (left.empty()) {
+    set_word(0, 0);
+    return *this;
+  }
+  // Jebelean's exact division by the odd part, from the low limb up.  Only
+  // the quotient's width of the dividend matters; each quotient limb lands
+  // where its dividend limb was just cancelled to zero.
+  const std::span<const std::uint32_t> odd{d.odd_.data(), d.odd_.size()};
+  if (left.size() < odd.size()) {  // only a zero dividend is that short
+    set_word(0, 0);
+    return *this;
+  }
+  const std::size_t width = left.size() - odd.size() + 1;
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::uint32_t q = left[i] * d.inverse_;
+    std::uint64_t carry = 0;
+    const std::size_t reach = std::min(odd.size(), width - i);
+    std::size_t k = 0;
+    for (; k < reach; ++k) {
+      const std::uint64_t product = std::uint64_t{q} * odd[k] + carry;
+      const auto low = static_cast<std::uint32_t>(product);
+      const std::uint32_t cell = left[i + k];
+      left[i + k] = cell - low;
+      carry = (product >> 32) + (cell < low ? 1u : 0u);
+    }
+    for (std::size_t at = i + k; carry != 0 && at < width; ++at) {
+      const std::uint32_t cell = left[at];
+      const auto low = static_cast<std::uint32_t>(carry);
+      left[at] = cell - low;
+      carry = (carry >> 32) + (cell < low ? 1u : 0u);
+    }
+    left[i] = q;
+  }
+  std::size_t size = width;
+  while (size > 0 && left[size - 1] == 0) --size;
+  sign *= d.sign_;
+  if (size <= 2) {
+    set_word(sign, size == 0 ? 0 : (std::uint64_t{size == 2 ? left[1] : 0u} << 32) | left[0]);
+  } else {
+    limbs_.assign(left.begin(), left.begin() + static_cast<std::ptrdiff_t>(size));
+    small_ = 0;
+    sign_ = sign;
+  }
   return *this;
 }
 

@@ -2,7 +2,7 @@
 
 // Bump-allocation arena for exact-arithmetic temporaries.
 //
-// Exact rational pivoting (simplex.cpp) and exact symmetric functions churn
+// Exact integer pivoting (simplex.cpp) and exact symmetric functions churn
 // through short-lived BigInt limb buffers: every +=, *= and gcd allocates a
 // fresh magnitude vector and frees it moments later.  A bump arena turns
 // each of those malloc/free pairs into a pointer increment and a no-op.

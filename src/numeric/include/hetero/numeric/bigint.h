@@ -11,6 +11,7 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,23 @@
 namespace hetero::numeric {
 
 struct BigIntDivMod;
+class BigInt;
+
+/// A nonzero divisor prepared for repeated exact division
+/// (BigInt::assign_cross_quotient): its sign, its power of two, its odd part
+/// and that odd part's inverse modulo 2^32.
+class ExactDivisor {
+ public:
+  /// Throws std::domain_error on zero.
+  explicit ExactDivisor(const BigInt& divisor);
+
+ private:
+  friend class BigInt;
+  int sign_ = 1;
+  std::size_t twos_ = 0;
+  LimbVector odd_;
+  std::uint32_t inverse_ = 1;
+};
 
 /// Signed arbitrary-precision integer with value semantics.
 ///
@@ -83,6 +101,14 @@ class BigInt {
   /// Truncated division (C++ semantics: quotient rounds toward zero).
   BigInt& operator/=(const BigInt& rhs);
   BigInt& operator%=(const BigInt& rhs);
+  /// The fraction-free (Bareiss) elimination step: *this = (a*b - c*e) / d,
+  /// where d is known to divide a*b - c*e (the result is unspecified
+  /// otherwise).  Both products and the difference go to scratch limbs and
+  /// the quotient comes from the low end (Jebelean's exact division): no
+  /// remainder, no normalization, no trial-quotient correction, no gcd, and
+  /// *this reuses its own storage.  Any argument may alias *this.
+  BigInt& assign_cross_quotient(const BigInt& a, const BigInt& b, const BigInt& c,
+                                const BigInt& e, const ExactDivisor& d);
   BigInt& operator<<=(std::size_t bits);
   BigInt& operator>>=(std::size_t bits);
 
@@ -114,14 +140,18 @@ class BigInt {
   friend std::ostream& operator<<(std::ostream& os, const BigInt& value);
 
  private:
-  static int compare_magnitude(const LimbVector& a,
-                               const LimbVector& b) noexcept;
+  static int compare_magnitude(std::span<const std::uint32_t> a,
+                               std::span<const std::uint32_t> b) noexcept;
   static int compare_magnitude(const BigInt& a, const BigInt& b) noexcept;
   static LimbVector add_magnitude(const LimbVector& a, const LimbVector& b);
   // Requires |a| >= |b|.
   static LimbVector sub_magnitude(const LimbVector& a, const LimbVector& b);
   static LimbVector mul_magnitude(const LimbVector& a, const LimbVector& b);
   static void trim(LimbVector& limbs) noexcept;
+  // The magnitude as limbs without copying; a word magnitude is spilled
+  // into `spill`.
+  [[nodiscard]] std::span<const std::uint32_t> magnitude_view(
+      std::uint32_t (&spill)[2]) const noexcept;
 
   // Canonicalization: magnitudes < 2^64 live in small_, anything larger in
   // limbs_.  set_word installs a word magnitude; adopt_limbs installs a limb
@@ -138,6 +168,7 @@ class BigInt {
   LimbVector limbs_;  // magnitude otherwise (>= 3 limbs)
 
   friend struct BigIntDivMod;
+  friend class ExactDivisor;
   friend BigIntDivMod div_mod(const BigInt& dividend, const BigInt& divisor);
 };
 

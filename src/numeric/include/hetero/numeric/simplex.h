@@ -7,6 +7,27 @@
 // total allocated work subject to the timing feasibility constraints.  The
 // programs are tiny (n variables, O(n) constraints), so a dense tableau with
 // Bland's anti-cycling rule is exactly the right tool.
+//
+// The tableau is exact and fraction-free (Edmonds/Bareiss integer pivoting,
+// as in lrs).  Every double is m * 2^e, so scaling constraint row i by a
+// power of two D_i makes it integral; its slack is scaled with it
+// (s'_i = D_i s_i) and keeps coefficient 1, so the starting basis is the
+// identity.  Invariant: every cell holds d times its value in the rational
+// tableau, where d > 0 is the previous pivot element (1 at the start).  A
+// pivot on a = T[p][k] is T[r][j] <- (a T[r][j] - T[r][k] T[p][j]) / d for
+// r != p: the division is exact (each cell is a minor of the integer
+// matrix), so no gcd and no Rational appear in the pivot loop.  A negative
+// pivot negates its row first, which keeps d > 0.
+//
+// Why the answers equal the reduced-Rational tableau's bit for bit: the
+// pivot rule reads only signs, zero tests and ratio comparisons (by
+// cross-multiplication).  Multiplying a row or the whole tableau by a
+// positive constant changes none of them, and scaling slack i rescales its
+// column and its ratios uniformly, so Bland's rule picks the same entering
+// and leaving columns at every step — phase 1, warm installs and degenerate
+// ties included.  x_j = rhs_i / d and the objective (an integer sum over
+// d) are reduced once, at extraction, to the same Rational, hence the same
+// double.
 
 #include <cstddef>
 #include <span>
@@ -52,9 +73,9 @@ struct LpSolution {
 /// Maximizes c.x subject to A x <= b and x >= 0 — **exactly**.
 ///
 /// Every coefficient is an IEEE double, i.e. an exact dyadic rational, so
-/// the tableau is carried in exact Rational arithmetic: the verdict
-/// (optimal/infeasible/unbounded) and the optimum are exact for the given
-/// coefficients, and Bland's rule guarantees finite termination.  (A
+/// the tableau is carried in exact integer arithmetic (see above): the
+/// verdict (optimal/infeasible/unbounded) and the optimum are exact for the
+/// given coefficients, and Bland's rule guarantees finite termination.  (A
 /// floating tableau is untrustworthy here: protocol LPs mix coefficients
 /// spanning six orders of magnitude and drift infeasible under tiny-pivot
 /// roundoff.)  Rows with negative right-hand sides go through phase-1
@@ -62,13 +83,19 @@ struct LpSolution {
 class SimplexSolver {
  public:
   struct Options {
+    /// Pivot budget for one solve, shared by phase 1 and phase 2.  When
+    /// another pivot is needed and the budget is spent the status is
+    /// kIterationLimit (never kInfeasible); x and objective then describe
+    /// the current vertex if phase 2 was reached and stay empty/0 if not.
+    /// An optimum reached within the budget is kOptimal.
     int max_iterations = 10000;
   };
 
   SimplexSolver() : options_{} {}
   explicit SimplexSolver(const Options& options) : options_{options} {}
 
-  /// Throws std::invalid_argument on shape mismatches.
+  /// Throws std::invalid_argument on shape mismatches and non-finite
+  /// coefficients.
   [[nodiscard]] LpSolution maximize(std::span<const double> c, const Matrix& a,
                                     std::span<const double> b) const;
 
@@ -78,7 +105,7 @@ class SimplexSolver {
   /// solver silently falls back to a cold start — warm-starting can change
   /// speed, never correctness.  The returned status, objective, and x are
   /// bit-identical to the cold solve whenever the LP's optimal vertex is
-  /// unique: exact rational pivoting reaches the same vertex from any
+  /// unique: exact pivoting reaches the same vertex from any
   /// feasible starting basis, and every double is extracted from the same
   /// exact value.  (With multiple optima either run may report a different
   /// — equally optimal — vertex.)  `iterations`, `warm_started`, and

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hetero/core/environment.h"
+#include "hetero/numeric/matrix.h"
 #include "hetero/numeric/simplex.h"
 #include "hetero/protocol/schedule.h"
 
@@ -29,6 +31,21 @@ struct LpScheduleResult {
   double total_work = 0.0;
   Schedule schedule;  ///< populated only when status == kOptimal
 };
+
+/// A protocol LP in the solver's standard form: maximize objective.x
+/// subject to constraint x <= rhs, x >= 0.
+struct ProtocolLp {
+  std::vector<double> objective;
+  numeric::Matrix constraint;
+  std::vector<double> rhs;
+};
+
+/// The fixed-order CEP as an LP; variables are [w_0..w_{n-1} | r_0..r_{n-1}]
+/// (allocations, then result-transmission starts, indexed by machine).
+/// Throws std::invalid_argument on invalid orders/speeds/lifespan.
+[[nodiscard]] ProtocolLp protocol_lp(std::span<const double> speeds,
+                                     const core::Environment& env, double lifespan,
+                                     const ProtocolOrders& orders);
 
 /// Solves the fixed-order CEP exactly.  Throws std::invalid_argument on
 /// invalid orders/speeds/lifespan.
@@ -104,6 +121,13 @@ using ChannelMerge = std::vector<bool>;
 /// True when every machine's send precedes its result in the merged
 /// channel sequence (a physical prerequisite).
 [[nodiscard]] bool merge_is_causal(const ChannelMerge& merge, const ProtocolOrders& orders);
+
+/// The interleaved-channel LP; variables are [w_0..w_{n-1} | t_0..t_{2n-1}]
+/// with t_k the start of the k-th channel operation in merge order.  Throws
+/// like solve_interleaved_lp.
+[[nodiscard]] ProtocolLp interleaved_lp(std::span<const double> speeds,
+                                        const core::Environment& env, double lifespan,
+                                        const ProtocolOrders& orders, const ChannelMerge& merge);
 
 /// Maximum work under the given orders *and* channel interleaving (exact
 /// LP).  Throws std::invalid_argument on malformed inputs or an acausal

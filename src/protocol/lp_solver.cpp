@@ -16,16 +16,10 @@ namespace {
 std::size_t w_var(std::size_t machine) { return machine; }
 std::size_t r_var(std::size_t machine, std::size_t n) { return n + machine; }
 
-/// The fixed-order CEP as an LP in standard form (shared by the cold solver
-/// and the warm-started LpResolver).
-struct ProtocolLp {
-  std::vector<double> objective;
-  numeric::Matrix constraint;
-  std::vector<double> rhs;
-};
+}  // namespace
 
-ProtocolLp build_protocol_lp(std::span<const double> speeds, const core::Environment& env,
-                             double lifespan, const ProtocolOrders& orders) {
+ProtocolLp protocol_lp(std::span<const double> speeds, const core::Environment& env,
+                       double lifespan, const ProtocolOrders& orders) {
   const std::size_t n = speeds.size();
   if (n == 0) throw std::invalid_argument("solve_protocol_lp: empty cluster");
   if (!(lifespan > 0.0)) throw std::invalid_argument("solve_protocol_lp: lifespan must be positive");
@@ -93,6 +87,8 @@ ProtocolLp build_protocol_lp(std::span<const double> speeds, const core::Environ
   return lp;
 }
 
+namespace {
+
 LpScheduleResult materialize_schedule(const numeric::LpSolution& solution,
                                       std::span<const double> speeds,
                                       const core::Environment& env, double lifespan,
@@ -134,7 +130,7 @@ LpScheduleResult solve_protocol_lp(std::span<const double> speeds,
                                    const core::Environment& env, double lifespan,
                                    const ProtocolOrders& orders) {
   HETERO_OBS_SCOPE("protocol.solve_lp");
-  const ProtocolLp lp = build_protocol_lp(speeds, env, lifespan, orders);
+  const ProtocolLp lp = protocol_lp(speeds, env, lifespan, orders);
   const numeric::SimplexSolver solver;
   const numeric::LpSolution solution = solver.maximize(lp.objective, lp.constraint, lp.rhs);
   return materialize_schedule(solution, speeds, env, lifespan, orders);
@@ -143,7 +139,7 @@ LpScheduleResult solve_protocol_lp(std::span<const double> speeds,
 LpScheduleResult LpResolver::solve(std::span<const double> speeds, const core::Environment& env,
                                    double lifespan, const ProtocolOrders& orders) {
   HETERO_OBS_SCOPE("protocol.solve_lp");
-  const ProtocolLp lp = build_protocol_lp(speeds, env, lifespan, orders);
+  const ProtocolLp lp = protocol_lp(speeds, env, lifespan, orders);
   numeric::LpSolution solution = solver_.maximize(lp.objective, lp.constraint, lp.rhs, basis_);
   ++solves_;
   if (solution.warm_started) ++warm_starts_;
@@ -199,9 +195,9 @@ bool merge_is_causal(const ChannelMerge& merge, const ProtocolOrders& orders) {
   return true;
 }
 
-LpScheduleResult solve_interleaved_lp(std::span<const double> speeds,
-                                      const core::Environment& env, double lifespan,
-                                      const ProtocolOrders& orders, const ChannelMerge& merge) {
+ProtocolLp interleaved_lp(std::span<const double> speeds, const core::Environment& env,
+                          double lifespan, const ProtocolOrders& orders,
+                          const ChannelMerge& merge) {
   const std::size_t n = speeds.size();
   if (n == 0) throw std::invalid_argument("solve_interleaved_lp: empty cluster");
   if (!(lifespan > 0.0)) throw std::invalid_argument("solve_interleaved_lp: lifespan must be positive");
@@ -240,8 +236,10 @@ LpScheduleResult solve_interleaved_lp(std::span<const double> speeds,
 
   const std::size_t num_vars = 3 * n;
   const std::size_t num_constraints = (2 * n - 1) + n + 1;
-  numeric::Matrix constraint(num_constraints, num_vars);
-  std::vector<double> rhs(num_constraints, 0.0);
+  ProtocolLp lp;
+  lp.constraint = numeric::Matrix(num_constraints, num_vars);
+  lp.rhs.assign(num_constraints, 0.0);
+  numeric::Matrix& constraint = lp.constraint;
   std::size_t row = 0;
 
   // (1) Channel ops do not overlap: t_{k-1} + dur_{k-1} <= t_k.
@@ -264,37 +262,52 @@ LpScheduleResult solve_interleaved_lp(std::span<const double> speeds,
   // (3) The last operation finishes by the lifespan.
   constraint(row, t_var(2 * n - 1)) += 1.0;
   constraint(row, op_machine[2 * n - 1]) += op_coeff[2 * n - 1];
-  rhs[row] = lifespan;
+  lp.rhs[row] = lifespan;
   ++row;
 
-  std::vector<double> objective(num_vars, 0.0);
-  for (std::size_t m = 0; m < n; ++m) objective[m] = 1.0;
+  lp.objective.assign(num_vars, 0.0);
+  for (std::size_t m = 0; m < n; ++m) lp.objective[m] = 1.0;
+  return lp;
+}
+
+LpScheduleResult solve_interleaved_lp(std::span<const double> speeds,
+                                      const core::Environment& env, double lifespan,
+                                      const ProtocolOrders& orders, const ChannelMerge& merge) {
+  const ProtocolLp lp = interleaved_lp(speeds, env, lifespan, orders, merge);
   const numeric::LpSolution solution =
-      numeric::SimplexSolver{}.maximize(objective, constraint, rhs);
+      numeric::SimplexSolver{}.maximize(lp.objective, lp.constraint, lp.rhs);
 
   LpScheduleResult result;
   result.status = solution.status;
   if (solution.status != numeric::LpStatus::kOptimal) return result;
   result.total_work = solution.objective;
-  // Materialize a schedule (in startup order, like the other solvers).
+  // Materialize a schedule (in startup order, like the other solvers); t_k
+  // is variable n + k.
+  const std::size_t n = speeds.size();
   Schedule& schedule = result.schedule;
   schedule.lifespan = lifespan;
   schedule.speeds.assign(speeds.begin(), speeds.end());
+  std::vector<std::size_t> send_op_of_machine(n);
   std::vector<std::size_t> result_op_of_machine(n);
-  results_seen = 0;
+  std::size_t sends_seen = 0;
+  std::size_t results_seen = 0;
   for (std::size_t k = 0; k < 2 * n; ++k) {
-    if (!merge[k]) result_op_of_machine[orders.finishing[results_seen++]] = k;
+    if (merge[k]) {
+      send_op_of_machine[orders.startup[sends_seen++]] = k;
+    } else {
+      result_op_of_machine[orders.finishing[results_seen++]] = k;
+    }
   }
   for (std::size_t m_pos = 0; m_pos < n; ++m_pos) {
     const std::size_t m = orders.startup[m_pos];
     WorkerTimeline t;
     t.machine = m;
     t.work = solution.x[m];
-    t.send_start = solution.x[t_var(send_op_of_machine[m])];
-    t.receive = t.send_start + a * t.work;
-    t.compute_done = t.receive + b * speeds[m] * t.work;
-    t.result_start = solution.x[t_var(result_op_of_machine[m])];
-    t.result_end = t.result_start + td * t.work;
+    t.send_start = solution.x[n + send_op_of_machine[m]];
+    t.receive = t.send_start + env.a() * t.work;
+    t.compute_done = t.receive + env.b() * speeds[m] * t.work;
+    t.result_start = solution.x[n + result_op_of_machine[m]];
+    t.result_end = t.result_start + env.tau_delta() * t.work;
     schedule.timelines.push_back(t);
   }
   return result;

@@ -170,6 +170,49 @@ TEST(BigInt, FromIntegralDoubleRoundTrips) {
   EXPECT_THROW(BigInt::from_integral_double(std::nan("")), std::invalid_argument);
 }
 
+TEST(BigInt, CrossQuotientMatchesMultiplyThenDivide) {
+  // (a*b - c*e) / d against the plain operators, with d dividing exactly:
+  // either a = d*v and c = d*u, or a = 1 and b = q*d + c*e.  Divisors get
+  // extra factors of two; signs, zeros and word/limb sizes all vary.
+  std::mt19937_64 gen{11};
+  std::uniform_int_distribution<int> limbs_dist{0, 9};
+  std::uniform_int_distribution<std::uint32_t> limb{};
+  auto random_big = [&] {
+    BigInt value{0};
+    const int limbs = limbs_dist(gen);
+    for (int i = 0; i < limbs; ++i) {
+      value = value * BigInt{std::uint64_t{1} << 32} + BigInt{std::uint64_t{limb(gen)}};
+    }
+    return limb(gen) % 3 == 0 ? value.negated() : value;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    BigInt d = random_big();
+    if (d.is_zero()) d = BigInt{trial % 2 == 0 ? 3 : -1};
+    d <<= static_cast<std::size_t>(trial % 70);
+    BigInt a;
+    BigInt b = random_big();
+    BigInt c;
+    BigInt e = random_big();
+    if (trial % 2 == 0) {
+      a = d * random_big();
+      c = d * random_big();
+    } else {
+      a = BigInt{1};
+      c = random_big();
+      b = random_big() * d + c * e;
+    }
+    const BigInt expected = (a * b - c * e) / d;
+    BigInt got{12345};
+    got.assign_cross_quotient(a, b, c, e, ExactDivisor{d});
+    EXPECT_EQ(got, expected) << trial;
+    // The cell being updated is usually an operand of its own update.
+    BigInt aliased = b;
+    aliased.assign_cross_quotient(a, aliased, c, e, ExactDivisor{d});
+    EXPECT_EQ(aliased, expected) << trial;
+  }
+  EXPECT_THROW(ExactDivisor{BigInt{}}, std::domain_error);
+}
+
 TEST(BigInt, FitsInt64Boundaries) {
   EXPECT_TRUE(BigInt::from_string("9223372036854775807").fits_int64());
   EXPECT_FALSE(BigInt::from_string("9223372036854775808").fits_int64());

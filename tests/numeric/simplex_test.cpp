@@ -98,6 +98,61 @@ TEST(Simplex, SolutionSatisfiesAllConstraints) {
   for (double xi : solution.x) EXPECT_GE(xi, -1e-9);
 }
 
+// max x + y  s.t.  x + y <= 4, x >= 1, y >= 1: phase 1 needs two pivots to
+// drive out both artificials, phase 2 one more.
+struct TwoPhaseProgram {
+  std::vector<double> c{1.0, 1.0};
+  Matrix a{{1.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}};
+  std::vector<double> b{4.0, -1.0, -1.0};
+};
+
+TEST(Simplex, IterationBudgetIsSharedByBothPhases) {
+  const TwoPhaseProgram lp;
+  const LpSolution unlimited = SimplexSolver{}.maximize(lp.c, lp.a, lp.b);
+  ASSERT_EQ(unlimited.status, LpStatus::kOptimal);
+  ASSERT_EQ(unlimited.iterations, 3);
+  EXPECT_EQ(unlimited.objective, 4.0);
+  for (int budget = 0; budget < unlimited.iterations; ++budget) {
+    const LpSolution capped =
+        SimplexSolver{SimplexSolver::Options{budget}}.maximize(lp.c, lp.a, lp.b);
+    // Running out of budget in phase 1 is not a verdict of infeasibility,
+    // and phase 2 gets no fresh budget of its own.
+    EXPECT_EQ(capped.status, LpStatus::kIterationLimit) << budget;
+    EXPECT_EQ(capped.iterations, budget);
+  }
+}
+
+TEST(Simplex, OptimumReachedWithinTheBudgetIsOptimal) {
+  const TwoPhaseProgram lp;
+  const LpSolution exact = SimplexSolver{SimplexSolver::Options{3}}.maximize(lp.c, lp.a, lp.b);
+  EXPECT_EQ(exact.status, LpStatus::kOptimal);
+  EXPECT_EQ(exact.iterations, 3);
+  EXPECT_EQ(exact.objective, 4.0);
+  EXPECT_FALSE(exact.basis.empty());
+
+  // max x + 2y  s.t.  x + y <= 6, x - y <= 2, x >= 1: two pivots in all.
+  const std::vector<double> c{1.0, 2.0};
+  const Matrix a{{1.0, 1.0}, {1.0, -1.0}, {-1.0, 0.0}};
+  const std::vector<double> b{6.0, 2.0, -1.0};
+  const LpSolution unlimited = SimplexSolver{}.maximize(c, a, b);
+  ASSERT_EQ(unlimited.status, LpStatus::kOptimal);
+  ASSERT_EQ(unlimited.iterations, 2);
+  const LpSolution capped = SimplexSolver{SimplexSolver::Options{2}}.maximize(c, a, b);
+  EXPECT_EQ(capped.status, LpStatus::kOptimal);
+  EXPECT_EQ(capped.objective, unlimited.objective);
+  EXPECT_EQ(capped.x, unlimited.x);
+}
+
+TEST(Simplex, ZeroBudgetStillRecognisesAStartingOptimum) {
+  // x = 0 is already optimal: no pivot is needed, so none is charged.
+  const std::vector<double> c{-1.0, -2.0};
+  const Matrix a{{1.0, 1.0}};
+  const std::vector<double> b{100.0};
+  const LpSolution solution = SimplexSolver{SimplexSolver::Options{0}}.maximize(c, a, b);
+  EXPECT_EQ(solution.status, LpStatus::kOptimal);
+  EXPECT_EQ(solution.iterations, 0);
+}
+
 TEST(Simplex, StatusToStringCoversAllValues) {
   EXPECT_STREQ(to_string(LpStatus::kOptimal), "optimal");
   EXPECT_STREQ(to_string(LpStatus::kInfeasible), "infeasible");

@@ -79,30 +79,48 @@ TEST_F(InstrumentationTest, ThreadPoolRecordsTasksWaitAndRunLatency) {
   EXPECT_GE(obs::Registry::global().gauge("parallel.queue_depth_hwm").value(), 1.0);
 }
 
-TEST_F(InstrumentationTest, SimplexSolveRecordsPivotsAndLiftCacheRate) {
-  const std::uint64_t solves_before = counter_value("lp.solves");
-  const std::uint64_t pivots_before = counter_value("lp.pivots");
-  const std::uint64_t lookups_before = counter_value("lp.lift_lookups");
-  const std::uint64_t hits_before = counter_value("lp.lift_hits");
+TEST_F(InstrumentationTest, SimplexSolveRecordsPivotsPerPhaseAndEntryWidth) {
+  const char* const names[] = {"lp.solves",          "lp.pivots",          "lp.phase1_pivots",
+                               "lp.phase2_pivots",   "lp.install_pivots", "lp.cleanup_pivots"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(counter_value(name));
+  const auto moved = [&](std::size_t k) { return counter_value(names[k]) - before[k]; };
+  const std::uint64_t widths_before = histogram_count("lp.max_entry_bits");
 
-  // maximize x + y st x <= 2, y <= 3 — two pivots, optimum 5.
+  // maximize x + y st x <= 2, y <= 3 — two phase-2 pivots, optimum 5.
   numeric::Matrix a(2, 2);
   a(0, 0) = 1.0;
   a(1, 1) = 1.0;
   const std::vector<double> b{2.0, 3.0};
   const std::vector<double> c{1.0, 1.0};
-  const auto solution = numeric::SimplexSolver{}.maximize(c, a, b);
-  ASSERT_EQ(solution.status, numeric::LpStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(solution.objective, 5.0);
+  const auto cold = numeric::SimplexSolver{}.maximize(c, a, b);
+  ASSERT_EQ(cold.status, numeric::LpStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(cold.objective, 5.0);
+  EXPECT_EQ(moved(0), 1u);
+  EXPECT_EQ(moved(1), static_cast<std::uint64_t>(cold.iterations));
+  EXPECT_EQ(moved(2), 0u);  // no negative rhs, no phase 1
+  EXPECT_EQ(moved(3), static_cast<std::uint64_t>(cold.iterations));
+  EXPECT_EQ(moved(4), 0u);
+  EXPECT_EQ(histogram_count("lp.max_entry_bits") - widths_before, 1u);
 
-  EXPECT_EQ(counter_value("lp.solves") - solves_before, 1u);
-  EXPECT_EQ(counter_value("lp.pivots") - pivots_before,
-            static_cast<std::uint64_t>(solution.iterations));
-  const std::uint64_t lookups = counter_value("lp.lift_lookups") - lookups_before;
-  const std::uint64_t hits = counter_value("lp.lift_hits") - hits_before;
-  EXPECT_GT(lookups, 0u);
-  EXPECT_GT(hits, 0u);  // the repeated 1.0 coefficients must hit the memo
-  EXPECT_LT(hits, lookups);
+  // Re-solving from its own basis pivots that basis in (install), then
+  // finds nothing left to do; lp.pivots does not count install pivots.
+  const auto warm = numeric::SimplexSolver{}.maximize(c, a, b, cold.basis);
+  ASSERT_TRUE(warm.warm_started);
+  EXPECT_EQ(moved(0), 2u);
+  EXPECT_EQ(moved(1), static_cast<std::uint64_t>(cold.iterations));
+  EXPECT_EQ(moved(4), 2u);
+
+  // x >= 1 as -x <= -1 puts phase 1 to work.
+  const std::vector<double> b_phase1{2.0, -1.0};
+  numeric::Matrix a_phase1(2, 2);
+  a_phase1(0, 0) = 1.0;
+  a_phase1(1, 0) = -1.0;
+  const auto two_phase = numeric::SimplexSolver{}.maximize(c, a_phase1, b_phase1);
+  ASSERT_EQ(two_phase.status, numeric::LpStatus::kUnbounded);  // y is free to grow
+  EXPECT_GT(moved(2), 0u);
+  EXPECT_EQ(moved(1), moved(2) + moved(3));
+  EXPECT_EQ(moved(5), 0u);
 }
 
 TEST_F(InstrumentationTest, ProtocolLpSolveLeavesAWallClockSpan) {
