@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
-"""Compare two google-benchmark JSON outputs and fail on regressions.
+"""Compare google-benchmark JSON outputs and fail on regressions.
 
 Usage:
-    compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-                     [--json REPORT.json]
+    compare_bench.py BASELINE.json CANDIDATE.json [CANDIDATE.json ...]
+                     [--threshold 0.10] [--json REPORT.json]
 
-Benchmarks are matched by name; only aggregate-free repetition entries are
-considered (the default single-repetition output).  A benchmark counts as a
-regression when its candidate real_time exceeds the baseline real_time by
-more than the threshold fraction (default 10%).  Benchmarks present in only
-one file are reported but never fail the run, so the baseline does not have
-to be regenerated every time a benchmark is added.
+Benchmarks are matched by name; only plain `iteration` entries are
+considered (mean/median/stddev/BigO aggregates are skipped).  Every
+iteration entry of a name is a sample: repetitions inside one file and
+entries from several candidate files (independent runs of the binary) are
+merged.  Each sample's real_time is converted to ns from its `time_unit`.
+
+A benchmark counts as a regression when its minimum candidate real_time
+exceeds its minimum baseline real_time by more than the threshold fraction
+(default 10%).  The minimum is the estimator because interference from
+other processes only ever adds time; the maximum is printed next to it so
+the spread shows.  With one sample per row the minimum is that sample.
+Benchmarks present in only one side are reported but never fail the run,
+so the baseline does not have to be regenerated every time a benchmark is
+added.
 
 Besides the per-benchmark table the script prints a geometric-mean speedup
 over all shared benchmarks (baseline/candidate, so >1 is faster), and
 --json writes the full comparison as a machine-readable report for CI
 artifacts and perf-trajectory tracking.
 
-Exit status: 0 when no benchmark regresses, 1 otherwise, 2 on usage errors.
+Exit status: 0 when no benchmark regresses, 1 otherwise, 2 on usage errors
+(including unreadable or empty inputs).
 """
 
 import argparse
@@ -25,32 +34,72 @@ import json
 import math
 import sys
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-def load_benchmarks(path):
-    """Maps benchmark name -> real_time (ns) for plain repetition entries."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise SystemExit(f"error: cannot read {path}: {error}")
-    results = {}
-    for entry in data.get("benchmarks", []):
-        if entry.get("run_type", "iteration") != "iteration":
-            continue  # skip mean/median/stddev aggregates
-        name = entry.get("name")
-        time = entry.get("real_time")
-        if name is None or time is None:
-            continue
-        results[name] = float(time)
-    if not results:
-        raise SystemExit(f"error: no benchmark entries found in {path}")
-    return results
+
+def fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def load_samples(paths):
+    """Maps benchmark name -> list of real_time samples (ns) over all paths."""
+    samples = {}
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
+            fail(f"cannot read {path}: {error}")
+        found = 0
+        for entry in data.get("benchmarks", []):
+            if entry.get("run_type", "iteration") != "iteration":
+                continue  # skip mean/median/stddev/BigO aggregates
+            name = entry.get("name")
+            time = entry.get("real_time")
+            if name is None or time is None:
+                continue
+            unit = entry.get("time_unit", "ns")
+            if unit not in NS_PER_UNIT:
+                fail(f"{path}: {name} has unknown time_unit {unit!r}")
+            samples.setdefault(name, []).append(float(time) * NS_PER_UNIT[unit])
+            found += 1
+        if not found:
+            fail(f"no benchmark entries found in {path}")
+    return samples
+
+
+def compare_rows(baseline, candidate, threshold):
+    """One row per benchmark in both sample maps, gated on the minimum."""
+    rows = []
+    for name in sorted(set(baseline) & set(candidate)):
+        base = min(baseline[name])
+        cand = min(candidate[name])
+        ratio = cand / base if base > 0 else float("inf")
+        rows.append(
+            {
+                "name": name,
+                "baseline_ns": base,
+                "candidate_ns": cand,
+                "candidate_max_ns": max(candidate[name]),
+                "candidate_samples": len(candidate[name]),
+                "ratio": ratio,
+                "speedup": base / cand if cand > 0 else float("inf"),
+                "regressed": ratio > 1.0 + threshold,
+            }
+        )
+    return rows
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline benchmark JSON")
-    parser.add_argument("candidate", help="candidate benchmark JSON")
+    parser.add_argument(
+        "candidates",
+        nargs="+",
+        metavar="candidate",
+        help="candidate benchmark JSON; several files are independent runs",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -67,36 +116,26 @@ def main(argv):
     if args.threshold < 0:
         parser.error("threshold must be non-negative")
 
-    baseline = load_benchmarks(args.baseline)
-    candidate = load_benchmarks(args.candidate)
+    baseline = load_samples([args.baseline])
+    candidate = load_samples(args.candidates)
 
-    shared = sorted(set(baseline) & set(candidate))
+    rows = compare_rows(baseline, candidate, args.threshold)
     only_baseline = sorted(set(baseline) - set(candidate))
     only_candidate = sorted(set(candidate) - set(baseline))
+    regressions = [(row["name"], row["ratio"]) for row in rows if row["regressed"]]
 
-    regressions = []
-    rows = []
-    width = max((len(name) for name in shared), default=4)
-    print(f"{'benchmark'.ljust(width)}  {'baseline':>12}  {'candidate':>12}  {'ratio':>7}")
-    for name in shared:
-        base = baseline[name]
-        cand = candidate[name]
-        ratio = cand / base if base > 0 else float("inf")
-        marker = ""
-        if ratio > 1.0 + args.threshold:
-            marker = "  REGRESSED"
-            regressions.append((name, ratio))
-        rows.append(
-            {
-                "name": name,
-                "baseline_ns": base,
-                "candidate_ns": cand,
-                "ratio": ratio,
-                "speedup": base / cand if cand > 0 else float("inf"),
-                "regressed": bool(marker),
-            }
+    width = max((len(row["name"]) for row in rows), default=4)
+    print(
+        f"{'benchmark'.ljust(width)}  {'baseline':>12}  {'cand min':>12}  "
+        f"{'cand max':>12}  {'n':>3}  {'ratio':>7}"
+    )
+    for row in rows:
+        marker = "  REGRESSED" if row["regressed"] else ""
+        print(
+            f"{row['name'].ljust(width)}  {row['baseline_ns']:12.1f}  "
+            f"{row['candidate_ns']:12.1f}  {row['candidate_max_ns']:12.1f}  "
+            f"{row['candidate_samples']:3d}  {row['ratio']:7.3f}{marker}"
         )
-        print(f"{name.ljust(width)}  {base:12.1f}  {cand:12.1f}  {ratio:7.3f}{marker}")
 
     for name in only_baseline:
         print(f"note: {name} only in baseline")
@@ -117,8 +156,9 @@ def main(argv):
     if args.json_out:
         report = {
             "baseline": args.baseline,
-            "candidate": args.candidate,
+            "candidates": args.candidates,
             "threshold": args.threshold,
+            "estimator": "min",
             "geomean_speedup": geomean,
             "benchmarks": rows,
             "only_baseline": only_baseline,
@@ -132,7 +172,7 @@ def main(argv):
                 json.dump(report, handle, indent=2)
                 handle.write("\n")
         except OSError as error:
-            raise SystemExit(f"error: cannot write {args.json_out}: {error}")
+            fail(f"cannot write {args.json_out}: {error}")
 
     if regressions:
         print(
