@@ -1,7 +1,7 @@
 // Microbenchmarks of the library's hot kernels (google-benchmark):
 // X evaluation (direct vs product form), HECR, symmetric functions
-// (floating and exact), FIFO planning, the exact-rational LP, and the
-// discrete-event simulator.
+// (floating and exact), FIFO planning, the exact-rational LP, the
+// discrete-event simulator, and the runner's per-unit overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -9,10 +9,12 @@
 #include "hetero/core/hetero.h"
 #include "hetero/experiments/experiments.h"
 #include "hetero/numeric/symmetric.h"
+#include "hetero/obs/scope.h"
 #include "hetero/parallel/thread_pool.h"
 #include "hetero/protocol/fifo.h"
 #include "hetero/protocol/lp_solver.h"
 #include "hetero/random/samplers.h"
+#include "hetero/runner/runner.h"
 #include "hetero/service/json.h"
 #include "hetero/service/planner.h"
 #include "hetero/sim/worksharing.h"
@@ -261,5 +263,24 @@ void BM_EqualMeanPairSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EqualMeanPairSampling)->RangeMultiplier(8)->Range(8, 1 << 12);
+
+// What the experiment drivers' plain overloads pay for running through
+// runner::run_units: a serial, unjournaled run of trivial units, so the time
+// is the runner's own (token setup, causal span, flight-recorder events,
+// payload vector).  unit_time is per unit; Arg(1) adds the per-run fixed
+// cost.  The span collector is cleared once per run (it is unbounded).
+void BM_RunUnitsSerial(benchmark::State& state) {
+  const auto units = static_cast<std::size_t>(state.range(0));
+  const auto trivial = [](std::size_t, const core::CancelToken&) { return std::string{}; };
+  runner::RunContext ctx;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runner::run_units(ctx, "unit", units, trivial));
+    obs::SpanCollector::global().clear();
+  }
+  const auto total = static_cast<double>(state.iterations()) * static_cast<double>(units);
+  state.counters["unit_time"] =
+      benchmark::Counter(total, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RunUnitsSerial)->Arg(1)->Arg(256);
 
 }  // namespace

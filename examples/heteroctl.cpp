@@ -51,6 +51,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,25 @@ std::string arm_black_box(const std::string& journal_path) {
   std::string box = journal_path + ".blackbox";
   if constexpr (obs::kEnabled) obs::FlightRecorder::arm(box);
   return box;
+}
+
+/// With --journal, opens (or resumes) the sweep's journal into `journal` and
+/// attaches it to `ctx`: finished cells land in the journal, and a killed
+/// run is continued with `heteroctl resume <path>` (the header carries this
+/// invocation) with bit-identical output.  Without it, leaves ctx as is.
+void attach_journal(runner::RunContext& ctx, std::optional<runner::Journal>& journal,
+                    const std::string& journal_path, runner::JournalHeader header,
+                    const std::string& invocation) {
+  if (journal_path.empty()) return;
+  header.invocation = invocation;
+  journal.emplace(runner::Journal::open_or_resume(journal_path, header));
+  const std::size_t resumed = journal->records().size();
+  if (resumed > 0) {
+    std::cout << "resuming " << journal_path << ": " << resumed
+              << " cell(s) already journaled\n";
+  }
+  ctx.journal = &*journal;
+  ctx.black_box = arm_black_box(journal_path);
 }
 
 int cmd_power(const core::Profile& profile) {
@@ -228,28 +248,14 @@ int cmd_faults(const core::Profile& profile, double lifespan, std::uint64_t seed
   sweep.straggler_factors = {1.0, 2.0, 4.0};
   sweep.trials = 3;
   sweep.seed = seed;
-  experiments::FaultSweepResult grid;
-  if (journal_path.empty()) {
-    grid = experiments::run_fault_sweep(speeds, kEnv, sweep);
-  } else {
-    // Crash-safe run: finished cells land in the journal; a killed run is
-    // continued with `heteroctl resume <path>` (the header carries this
-    // invocation) and produces bit-identical output.
-    runner::JournalHeader header = experiments::fault_sweep_journal_header(speeds, kEnv, sweep);
-    header.invocation = invocation;
-    runner::Journal journal = runner::Journal::open_or_resume(journal_path, header);
-    const std::size_t resumed = journal.records().size();
-    if (resumed > 0) {
-      std::cout << "resuming " << journal_path << ": " << resumed
-                << " cell(s) already journaled\n";
-    }
-    parallel::ThreadPool pool;
-    runner::RunContext ctx;
-    ctx.pool = &pool;
-    ctx.journal = &journal;
-    ctx.black_box = arm_black_box(journal_path);
-    grid = experiments::run_fault_sweep(speeds, kEnv, sweep, ctx);
-  }
+  parallel::ThreadPool pool;
+  runner::RunContext ctx;
+  ctx.pool = &pool;
+  std::optional<runner::Journal> journal;
+  attach_journal(ctx, journal, journal_path,
+                 experiments::fault_sweep_journal_header(speeds, kEnv, sweep), invocation);
+  const experiments::FaultSweepResult grid =
+      experiments::run_fault_sweep(speeds, kEnv, sweep, ctx);
   std::cout << "degradation vs fault-free FIFO optimum ("
             << core::format_profile(profile, 4) << ", L = " << lifespan << ", seed " << seed
             << "):\n"
@@ -317,26 +323,14 @@ int cmd_protocols(const core::Profile& profile, double lifespan, std::uint64_t s
   sweep.straggler_factors = {1.0, 2.0, 4.0};
   sweep.trials = 3;
   sweep.seed = seed;
-  experiments::ProtocolSweepResult grid;
-  if (journal_path.empty()) {
-    grid = experiments::run_protocol_sweep(speeds, kEnv, sweep);
-  } else {
-    runner::JournalHeader header =
-        experiments::protocol_sweep_journal_header(speeds, kEnv, sweep);
-    header.invocation = invocation;
-    runner::Journal journal = runner::Journal::open_or_resume(journal_path, header);
-    const std::size_t resumed = journal.records().size();
-    if (resumed > 0) {
-      std::cout << "resuming " << journal_path << ": " << resumed
-                << " cell(s) already journaled\n";
-    }
-    parallel::ThreadPool pool;
-    runner::RunContext ctx;
-    ctx.pool = &pool;
-    ctx.journal = &journal;
-    ctx.black_box = arm_black_box(journal_path);
-    grid = experiments::run_protocol_sweep(speeds, kEnv, sweep, ctx);
-  }
+  parallel::ThreadPool pool;
+  runner::RunContext ctx;
+  ctx.pool = &pool;
+  std::optional<runner::Journal> journal;
+  attach_journal(ctx, journal, journal_path,
+                 experiments::protocol_sweep_journal_header(speeds, kEnv, sweep), invocation);
+  const experiments::ProtocolSweepResult grid =
+      experiments::run_protocol_sweep(speeds, kEnv, sweep, ctx);
 
   std::cout << "protocol race (" << core::format_profile(profile, 4) << ", L = " << lifespan
             << ", seed " << seed << "):\n"

@@ -56,36 +56,29 @@ void count_batch(std::size_t profiles) {
 
 void batch_evaluate_into(std::span<const std::span<const double>> profiles,
                          const Environment& env, const BatchRequest& request,
-                         std::span<ProfileMeasures> out, const BatchExecutor& executor) {
+                         std::span<ProfileMeasures> out) {
   if (out.size() != profiles.size()) {
     throw std::invalid_argument("batch_evaluate_into: output size != batch size");
   }
   count_batch(profiles.size());
-  const auto body = [&](std::size_t i) {
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
     evaluate_one(profiles[i], env, request, request.fifo_lifespan, out[i]);
-  };
-  if (executor) {
-    executor(profiles.size(), body);
-  } else {
-    for (std::size_t i = 0; i < profiles.size(); ++i) body(i);
   }
 }
 
 std::vector<ProfileMeasures> batch_evaluate(std::span<const std::span<const double>> profiles,
-                                            const Environment& env, const BatchRequest& request,
-                                            const BatchExecutor& executor) {
+                                            const Environment& env, const BatchRequest& request) {
   std::vector<ProfileMeasures> out(profiles.size());
-  batch_evaluate_into(profiles, env, request, out, executor);
+  batch_evaluate_into(profiles, env, request, out);
   return out;
 }
 
 std::vector<ProfileMeasures> batch_evaluate(std::span<const Profile> profiles,
-                                            const Environment& env, const BatchRequest& request,
-                                            const BatchExecutor& executor) {
+                                            const Environment& env, const BatchRequest& request) {
   std::vector<std::span<const double>> views;
   views.reserve(profiles.size());
   for (const Profile& profile : profiles) views.push_back(profile.values());
-  return batch_evaluate(std::span<const std::span<const double>>{views}, env, request, executor);
+  return batch_evaluate(std::span<const std::span<const double>>{views}, env, request);
 }
 
 std::vector<double> fifo_allocations_in_order(std::span<const double> speeds,

@@ -8,23 +8,17 @@
 // (dispatch, kernel setup, the separate X and log-product sweeps) once per
 // profile; batch_evaluate pays them once per *batch*: X and the HECR
 // log-product come out of one fused sweep per profile
-// (numeric::x_and_log1p_kernel), results land in caller-owned storage, and
-// an optional executor fans the batch out across a thread pool.
+// (numeric::x_and_log1p_kernel) and results land in caller-owned storage.
+// A batch runs serially in the calling thread; callers that want
+// parallelism split the batch across their own workers (each profile
+// touches only its own output slot).
 //
-// Contracts:
-//  * Bit-identity: every field equals the corresponding single-profile call
-//    (core::x_measure, core::work_rate, core::hecr,
-//    protocol::fifo_allocations with the identity order) bit for bit,
-//    serial or parallel, fused or not.  Differential tests enforce this.
-//  * Executors: `executor(count, body)` must invoke body(i) exactly once
-//    for every i in [0, count), in any order and from any threads; body is
-//    safe to call concurrently (each index touches only its own slot).  A
-//    default-constructed (empty) executor means a serial loop.
-//    hetero::parallel provides the ThreadPool adapter (parallel/batch.h) —
-//    core itself stays thread-free.
+// Contract — bit-identity: every field equals the corresponding
+// single-profile call (core::x_measure, core::work_rate, core::hecr,
+// protocol::fifo_allocations with the identity order) bit for bit, fused or
+// not.  Differential tests enforce this.
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -32,11 +26,6 @@
 #include "hetero/core/profile.h"
 
 namespace hetero::core {
-
-/// Fan-out hook for batch_evaluate: calls body(i) once per i in [0, count).
-/// Empty function = serial loop in the calling thread.
-using BatchExecutor =
-    std::function<void(std::size_t count, const std::function<void(std::size_t)>& body)>;
 
 /// Which measures to compute per profile.  Unrequested fields are left
 /// untouched in the output (0.0 / empty in freshly constructed slots).
@@ -63,18 +52,17 @@ struct ProfileMeasures {
 /// callers (Monte-Carlo sweeps) can reuse one scratch output across trials.
 void batch_evaluate_into(std::span<const std::span<const double>> profiles,
                          const Environment& env, const BatchRequest& request,
-                         std::span<ProfileMeasures> out, const BatchExecutor& executor = {});
+                         std::span<ProfileMeasures> out);
 
 /// Convenience: allocates and returns the output vector.
 [[nodiscard]] std::vector<ProfileMeasures> batch_evaluate(
     std::span<const std::span<const double>> profiles, const Environment& env,
-    const BatchRequest& request, const BatchExecutor& executor = {});
+    const BatchRequest& request);
 
 /// Convenience over Profile objects.
 [[nodiscard]] std::vector<ProfileMeasures> batch_evaluate(std::span<const Profile> profiles,
                                                           const Environment& env,
-                                                          const BatchRequest& request,
-                                                          const BatchExecutor& executor = {});
+                                                          const BatchRequest& request);
 
 /// FIFO allocations for machines already listed in startup order — the
 /// Section-2.3 no-gap closed form (see protocol/fifo.h for the derivation).

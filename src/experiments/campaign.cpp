@@ -59,10 +59,19 @@ sim::FaultStats decode_fault_stats(runner::FieldReader& r) {
   return s;
 }
 
-CampaignResult run_campaign_impl(const std::vector<double>& speeds, const core::Environment& env,
-                                 const CampaignConfig& config,
-                                 const std::vector<CampaignFailure>& failures,
-                                 runner::RunContext* ctx) {
+}  // namespace
+
+CampaignResult run_campaign(const std::vector<double>& speeds, const core::Environment& env,
+                            const CampaignConfig& config,
+                            const std::vector<CampaignFailure>& failures) {
+  runner::RunContext serial;
+  return run_campaign(speeds, env, config, failures, serial);
+}
+
+CampaignResult run_campaign(const std::vector<double>& speeds, const core::Environment& env,
+                            const CampaignConfig& config,
+                            const std::vector<CampaignFailure>& failures,
+                            runner::RunContext& ctx) {
   HETERO_OBS_SCOPE("experiments.campaign");
   if (speeds.empty()) throw std::invalid_argument("run_campaign: empty fleet");
   if (!(config.round_length > 0.0) || !(config.total_time > 0.0) ||
@@ -93,12 +102,12 @@ CampaignResult run_campaign_impl(const std::vector<double>& speeds, const core::
   CampaignResult result;
   result.ideal_work = core::work_production(config.total_time, core::Profile{speeds}, env);
 
-  runner::Journal* journal = ctx != nullptr ? ctx->journal : nullptr;
+  runner::Journal* journal = ctx.journal;
 
   const auto rounds = static_cast<std::size_t>(config.total_time / config.round_length);
   std::vector<bool> alive(speeds.size(), true);
   for (std::size_t round = 0; round < rounds; ++round) {
-    if (ctx != nullptr) ctx->cancel.check();
+    ctx.cancel.check();
     const std::string round_key = "round:" + std::to_string(round);
     if (journal != nullptr) {
       if (const std::string* payload = journal->find(round_key)) {
@@ -214,8 +223,6 @@ CampaignResult run_campaign_impl(const std::vector<double>& speeds, const core::
   return result;
 }
 
-}  // namespace
-
 CampaignRoundRecord decode_campaign_round(std::string_view payload) {
   runner::FieldReader r{payload};
   CampaignRoundRecord record;
@@ -226,19 +233,6 @@ CampaignRoundRecord decode_campaign_round(std::string_view payload) {
   record.faults = decode_fault_stats(r);
   r.expect_done();
   return record;
-}
-
-CampaignResult run_campaign(const std::vector<double>& speeds, const core::Environment& env,
-                            const CampaignConfig& config,
-                            const std::vector<CampaignFailure>& failures) {
-  return run_campaign_impl(speeds, env, config, failures, nullptr);
-}
-
-CampaignResult run_campaign(const std::vector<double>& speeds, const core::Environment& env,
-                            const CampaignConfig& config,
-                            const std::vector<CampaignFailure>& failures,
-                            runner::RunContext& ctx) {
-  return run_campaign_impl(speeds, env, config, failures, &ctx);
 }
 
 runner::JournalHeader campaign_journal_header(const std::vector<double>& speeds,

@@ -60,10 +60,8 @@ stats::OnlineMoments decode_moments(runner::FieldReader& r) {
 
 std::vector<HecrRow> hecr_table(const std::vector<std::size_t>& sizes,
                                 const core::Environment& env) {
-  std::vector<HecrRow> rows;
-  rows.reserve(sizes.size());
-  for (std::size_t n : sizes) rows.push_back(hecr_row_for(n, env));
-  return rows;
+  runner::RunContext serial;
+  return hecr_table(sizes, env, serial);
 }
 
 std::vector<HecrRow> hecr_table(const std::vector<std::size_t>& sizes,

@@ -5,9 +5,9 @@
 
 #include "hetero/obs/metrics.h"
 #include "hetero/obs/scope.h"
-#include "hetero/random/rng.h"
 #include "hetero/runner/codec.h"
 #include "hetero/sim/reactive.h"
+#include "sweep_common.h"
 
 namespace hetero::experiments {
 
@@ -23,10 +23,9 @@ void validate_sweep(std::span<const double> speeds, const FaultSweepConfig& conf
   }
 }
 
-// One grid cell, identical arithmetic and accumulation order for the serial
-// and the journaled paths (the resume-determinism contract depends on it).
-// Trial seeds are pure functions of (config.seed, cell_index), never of
-// execution order.
+// One grid cell.  Trial seeds are pure functions of (config.seed,
+// cell_index), never of execution order (the resume-determinism contract
+// depends on it).
 FaultSweepCell compute_cell(std::span<const double> speeds, const core::Environment& env,
                             const FaultSweepConfig& config, double crash_rate, double factor,
                             std::uint64_t cell_index, double fault_free,
@@ -36,20 +35,11 @@ FaultSweepCell compute_cell(std::span<const double> speeds, const core::Environm
   cell.straggler_factor = factor;
   cell.fault_free_work = fault_free;
 
-  sim::FaultModelConfig model;
-  model.crash_rate = crash_rate;
-  if (factor > 1.0) {
-    model.straggler_probability = config.straggler_probability;
-    model.straggler_factor = factor;
-  }
+  const sim::FaultModelConfig model =
+      detail::cell_fault_model(crash_rate, factor, config.straggler_probability);
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     if (token.stop_requested() || token.expired()) token.check();
-    // Distinct, reproducible seed per (cell, trial), decorrelated through
-    // splitmix64 — a plain XOR of the coordinates lets distinct (cell,
-    // trial) pairs collide, correlating supposedly independent trials.
-    std::uint64_t mix = config.seed + cell_index * 0x9e3779b97f4a7c15ULL +
-                        (static_cast<std::uint64_t>(trial) + 1) * 0xbf58476d1ce4e5b9ULL;
-    const std::uint64_t seed = random::splitmix64(mix);
+    const std::uint64_t seed = detail::trial_seed(config.seed, cell_index, trial);
     const sim::FaultPlan plan = sim::FaultPlan::sample(model, speeds.size(), config.lifespan, seed);
     const auto oblivious = sim::run_fifo_with_faults(speeds, env, config.lifespan, plan);
     const auto reactive = sim::run_reactive_fifo(speeds, env, config.lifespan, plan, config.policy);
@@ -117,46 +107,8 @@ FaultSweepCell decode_fault_sweep_cell(std::string_view payload) {
 
 FaultSweepResult run_fault_sweep(std::span<const double> speeds, const core::Environment& env,
                                  const FaultSweepConfig& config) {
-  return run_fault_sweep(speeds, env, config, core::BatchExecutor{});
-}
-
-FaultSweepResult run_fault_sweep(std::span<const double> speeds, const core::Environment& env,
-                                 const FaultSweepConfig& config,
-                                 const core::BatchExecutor& executor) {
-  HETERO_OBS_SCOPE("experiments.fault_sweep");
-  validate_sweep(speeds, config);
-
-  const sim::FaultPlan no_faults;
-  const double fault_free =
-      sim::run_fifo_with_faults(speeds, env, config.lifespan, no_faults).completed_work;
-
-  // Flatten the grid (row-major) so cell index == output slot: each body
-  // call is independent and writes only cells[i], which is what makes the
-  // executor path bit-identical to a serial loop.
-  struct CellParams {
-    double crash_rate;
-    double factor;
-  };
-  std::vector<CellParams> grid;
-  grid.reserve(config.crash_rates.size() * config.straggler_factors.size());
-  for (double crash_rate : config.crash_rates) {
-    for (double factor : config.straggler_factors) grid.push_back({crash_rate, factor});
-  }
-
-  FaultSweepResult result;
-  result.cells.resize(grid.size());
-  const auto body = [&](std::size_t i) {
-    result.cells[i] = compute_cell(speeds, env, config, grid[i].crash_rate, grid[i].factor,
-                                   static_cast<std::uint64_t>(i), fault_free,
-                                   core::CancelToken{});
-  };
-  if (executor) {
-    executor(grid.size(), body);
-  } else {
-    for (std::size_t i = 0; i < grid.size(); ++i) body(i);
-  }
-  count_sweep(result.cells.size());
-  return result;
+  runner::RunContext serial;
+  return run_fault_sweep(speeds, env, config, serial);
 }
 
 FaultSweepResult run_fault_sweep(std::span<const double> speeds, const core::Environment& env,
@@ -168,8 +120,7 @@ FaultSweepResult run_fault_sweep(std::span<const double> speeds, const core::Env
   const double fault_free =
       sim::run_fifo_with_faults(speeds, env, config.lifespan, no_faults).completed_work;
 
-  // Flatten the grid so unit index == cell index (row-major, same order as
-  // the serial overload).
+  // Flatten the grid so unit index == cell index (row-major).
   struct CellParams {
     double crash_rate;
     double factor;
@@ -210,12 +161,7 @@ runner::JournalHeader fault_sweep_journal_header(std::span<const double> speeds,
   w.add_doubles(config.straggler_factors);
   w.add_double(config.straggler_probability);
   w.add_u64(config.trials);
-  w.add_double(config.policy.detection_latency);
-  w.add_double(config.policy.deadline_slack);
-  w.add_u64(config.policy.max_retries);
-  w.add_double(config.policy.backoff);
-  w.add_u64(config.policy.max_replans);
-  w.add_double(config.policy.min_remaining_fraction);
+  detail::add_policy(w, config.policy);
 
   runner::JournalHeader header;
   header.tool = "fault_sweep";

@@ -58,7 +58,8 @@ struct CampaignResult {
 /// with the given crash schedule (machines stay dead once crashed; crashes
 /// after a machine's last result of a round are harmless for that round).
 /// Throws std::invalid_argument on nonpositive times, round_length >
-/// total_time, or failures referencing unknown machines.
+/// total_time, or failures referencing unknown machines.  Forwards to the
+/// RunContext overload with a default runner::RunContext (no journal).
 [[nodiscard]] CampaignResult run_campaign(const std::vector<double>& speeds,
                                           const core::Environment& env,
                                           const CampaignConfig& config,

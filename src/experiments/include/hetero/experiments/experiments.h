@@ -24,13 +24,14 @@ struct HecrRow {
   double ratio = 0.0;          ///< hecr_linear / hecr_harmonic ("work advantage")
 };
 
-/// Reproduces Table 3 for the given cluster sizes (the paper uses 8/16/32).
+/// Reproduces Table 3 for the given cluster sizes (the paper uses 8/16/32),
+/// serially with no journal: forwards to the RunContext overload.
 [[nodiscard]] std::vector<HecrRow> hecr_table(const std::vector<std::size_t>& sizes,
                                               const core::Environment& env);
 
-/// Robust overload: one runner work unit per cluster size — journaled,
-/// cancellable, and speculative via ctx.  Rows are bit-identical to the
-/// plain overload's (each row is a pure function of its size).
+/// The table's one body: one runner work unit per cluster size — journaled,
+/// cancellable, and speculative via ctx.  Each row is a pure function of its
+/// size, so the rows are bit-identical for any pool size.
 [[nodiscard]] std::vector<HecrRow> hecr_table(const std::vector<std::size_t>& sizes,
                                               const core::Environment& env,
                                               runner::RunContext& ctx);
@@ -89,15 +90,20 @@ struct VariancePredictorResult {
 
 /// Monte-Carlo estimate of how often variance predicts the more powerful of
 /// two equal-mean random clusters (Section 4.3's "good"/"bad" pairs).
-/// Deterministic in (n, trials, seed); trials are distributed over the pool.
+/// Trials are distributed over the pool.  Only the integer tallies (good,
+/// bad, skipped, trials) are deterministic in (n, trials, seed): the moment
+/// states are merged per pool chunk, and the chunks follow
+/// pool.thread_count(), so their last bits depend on the pool size.  The
+/// RunContext overload below is the bit-reproducible one.
 [[nodiscard]] VariancePredictorResult variance_predictor_experiment(
     std::size_t n, std::size_t trials, std::uint64_t seed, const core::Environment& env,
     parallel::ThreadPool& pool);
 
 /// Robust overload: trials run as `batch_size`-trial work units whose
 /// partials (counts + raw moment states) are journaled bit-exactly and
-/// reduced in batch order, so an interrupted run resumes to the exact
-/// aggregates an uninterrupted run produces.  Trial seeds depend only on
+/// reduced in batch order, so the result is bit-identical for any ctx.pool
+/// (or none), and an interrupted run resumes to the exact aggregates an
+/// uninterrupted run produces.  Trial seeds depend only on
 /// (seed, trial index), never on batch boundaries or execution order.
 [[nodiscard]] VariancePredictorResult variance_predictor_experiment(
     std::size_t n, std::size_t trials, std::uint64_t seed, const core::Environment& env,

@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "hetero/core/batch.h"
 #include "hetero/core/environment.h"
 #include "hetero/protocol/reactive.h"
 #include "hetero/runner/runner.h"
@@ -52,30 +51,19 @@ struct FaultSweepResult {
   std::vector<FaultSweepCell> cells;  ///< row-major: crash_rate x factor
 };
 
-/// Runs the grid.  Throws std::invalid_argument on an empty fleet/grid or a
-/// nonpositive lifespan.
+/// Runs the grid serially with no journal: forwards to the RunContext
+/// overload with a default runner::RunContext.  Throws
+/// std::invalid_argument on an empty fleet/grid or a nonpositive lifespan.
 [[nodiscard]] FaultSweepResult run_fault_sweep(std::span<const double> speeds,
                                                const core::Environment& env,
                                                const FaultSweepConfig& config);
 
-/// Batched overload: the grid cells are evaluated through `executor` (see
-/// core/batch.h; parallel::pool_executor adapts a ThreadPool) — every cell
-/// writes only its own slot and cell seeds are pure functions of
-/// (config.seed, cell index), so the result is bit-identical to the serial
-/// overload regardless of execution order.  An empty executor runs serially;
-/// the plain overload above is exactly this with an empty executor.
-[[nodiscard]] FaultSweepResult run_fault_sweep(std::span<const double> speeds,
-                                               const core::Environment& env,
-                                               const FaultSweepConfig& config,
-                                               const core::BatchExecutor& executor);
-
-/// Robust overload: each grid cell is one runner work unit — parallel over
-/// ctx.pool (serial when null), checkpointed into ctx.journal, cancellable
-/// via ctx.cancel, and speculatively re-executed when a cell straggles past
-/// the p95 of completed cells.  Cell arithmetic is shared with the plain
-/// overload, so the result is bit-identical to a serial run, and a journaled
-/// run interrupted at any instant resumes exactly (same RNG substreams —
-/// cell seeds depend only on (config.seed, cell index)).
+/// The sweep's one body: each grid cell is one runner work unit — parallel
+/// over ctx.pool (serial when null), checkpointed into ctx.journal,
+/// cancellable via ctx.cancel, and speculatively re-executed when a cell
+/// straggles past the p95 of completed cells.  Cell seeds depend only on
+/// (config.seed, cell index), so the result is bit-identical for any pool
+/// size, and a journaled run interrupted at any instant resumes exactly.
 [[nodiscard]] FaultSweepResult run_fault_sweep(std::span<const double> speeds,
                                                const core::Environment& env,
                                                const FaultSweepConfig& config,

@@ -26,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "hetero/core/batch.h"
 #include "hetero/core/environment.h"
 #include "hetero/protocol/coded.h"
 #include "hetero/protocol/reactive.h"
@@ -75,24 +74,18 @@ struct ProtocolSweepResult {
   std::vector<ProtocolSweepCell> cells;  ///< row-major: protocol x crash x factor
 };
 
-/// Runs the grid.  Throws std::invalid_argument on an empty fleet/grid/
-/// protocol axis, a nonpositive lifespan, or work_fraction outside (0, 1].
+/// Runs the grid serially with no journal: forwards to the RunContext
+/// overload with a default runner::RunContext.  Throws
+/// std::invalid_argument on an empty fleet/grid/protocol axis, a nonpositive
+/// lifespan, or work_fraction outside (0, 1].
 [[nodiscard]] ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
                                                      const core::Environment& env,
                                                      const ProtocolSweepConfig& config);
 
-/// Batched overload (core/batch.h): cells are independent, write only their
-/// own slot, and derive trial seeds from (seed, fault cell, trial) alone, so
-/// the result is bit-identical to the serial overload in any order.
-[[nodiscard]] ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
-                                                     const core::Environment& env,
-                                                     const ProtocolSweepConfig& config,
-                                                     const core::BatchExecutor& executor);
-
-/// Robust overload: each cell is one runner work unit — parallel over
+/// The sweep's one body: each cell is one runner work unit — parallel over
 /// ctx.pool, checkpointed into ctx.journal, cancellable, speculation-capable.
-/// Bit-identical to the serial overload; a journaled run killed at any
-/// instant resumes to the same bytes.
+/// Bit-identical for any pool size; a journaled run killed at any instant
+/// resumes to the same bytes.
 [[nodiscard]] ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
                                                      const core::Environment& env,
                                                      const ProtocolSweepConfig& config,

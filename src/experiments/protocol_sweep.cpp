@@ -9,10 +9,10 @@
 #include "hetero/obs/metrics.h"
 #include "hetero/obs/scope.h"
 #include "hetero/protocol/fifo.h"
-#include "hetero/random/rng.h"
 #include "hetero/runner/codec.h"
 #include "hetero/sim/coded.h"
 #include "hetero/sim/reactive.h"
+#include "sweep_common.h"
 
 namespace hetero::experiments {
 
@@ -64,8 +64,7 @@ double fifo_crossing(const sim::ReactiveRunResult& run, double target) {
   return sim::banked_crossing_time(run.banked, target);
 }
 
-// One grid cell, identical arithmetic and accumulation order for the serial
-// and the journaled paths.  Trial fault seeds are pure functions of
+// One grid cell.  Trial fault seeds are pure functions of
 // (config.seed, fault_cell, trial) — the *fault* cell, not the grid cell, so
 // every protocol faces bit-identical plans.
 ProtocolSweepCell compute_cell(std::span<const double> speeds, const core::Environment& env,
@@ -80,19 +79,13 @@ ProtocolSweepCell compute_cell(std::span<const double> speeds, const core::Envir
   const double lifespan = config.lifespan;
   const double target = setup.work_target;
 
-  sim::FaultModelConfig model;
-  model.crash_rate = crash_rate;
-  if (factor > 1.0) {
-    model.straggler_probability = config.straggler_probability;
-    model.straggler_factor = factor;
-  }
+  const sim::FaultModelConfig model =
+      detail::cell_fault_model(crash_rate, factor, config.straggler_probability);
   for (std::size_t trial = 0; trial < config.trials; ++trial) {
     if (token.stop_requested() || token.expired()) token.check();
-    // Same splitmix64 decorrelation as the fault sweep; keyed by the fault
-    // cell so fifo/reactive/replicated/mds trials share one adversary.
-    std::uint64_t mix = config.seed + fault_cell * 0x9e3779b97f4a7c15ULL +
-                        (static_cast<std::uint64_t>(trial) + 1) * 0xbf58476d1ce4e5b9ULL;
-    const std::uint64_t seed = random::splitmix64(mix);
+    // Keyed by the fault cell so fifo/reactive/replicated/mds trials share
+    // one adversary.
+    const std::uint64_t seed = detail::trial_seed(config.seed, fault_cell, trial);
     const sim::FaultPlan plan =
         sim::FaultPlan::sample(model, speeds.size(), lifespan, seed);
 
@@ -228,34 +221,8 @@ ProtocolSweepCell decode_protocol_sweep_cell(std::string_view payload) {
 ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
                                        const core::Environment& env,
                                        const ProtocolSweepConfig& config) {
-  return run_protocol_sweep(speeds, env, config, core::BatchExecutor{});
-}
-
-ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
-                                       const core::Environment& env,
-                                       const ProtocolSweepConfig& config,
-                                       const core::BatchExecutor& executor) {
-  HETERO_OBS_SCOPE("experiments.protocol_sweep");
-  validate_sweep(speeds, config);
-  const SweepSetup setup = make_setup(speeds, env, config);
-  const std::vector<CellParams> grid = flatten_grid(config);
-
-  ProtocolSweepResult result;
-  result.work_target = setup.work_target;
-  result.replicated = setup.replicated;
-  result.mds = setup.mds;
-  result.cells.resize(grid.size());
-  const auto body = [&](std::size_t i) {
-    result.cells[i] = compute_cell(speeds, env, config, setup, grid[i].kind, grid[i].crash_rate,
-                                   grid[i].factor, grid[i].fault_cell, core::CancelToken{});
-  };
-  if (executor) {
-    executor(grid.size(), body);
-  } else {
-    for (std::size_t i = 0; i < grid.size(); ++i) body(i);
-  }
-  count_sweep(result.cells.size());
-  return result;
+  runner::RunContext serial;
+  return run_protocol_sweep(speeds, env, config, serial);
 }
 
 ProtocolSweepResult run_protocol_sweep(std::span<const double> speeds,
@@ -314,12 +281,7 @@ runner::JournalHeader protocol_sweep_journal_header(std::span<const double> spee
   for (protocol::ProtocolKind kind : config.protocols) {
     w.add_u64(static_cast<std::uint64_t>(kind));
   }
-  w.add_double(config.policy.detection_latency);
-  w.add_double(config.policy.deadline_slack);
-  w.add_u64(config.policy.max_retries);
-  w.add_double(config.policy.backoff);
-  w.add_u64(config.policy.max_replans);
-  w.add_double(config.policy.min_remaining_fraction);
+  detail::add_policy(w, config.policy);
   w.add_u64(config.max_replication);
 
   runner::JournalHeader header;

@@ -79,8 +79,9 @@ struct WatchdogOptions {
 };
 
 /// Everything a robust run threads through the drivers.  Default-constructed
-/// RunContext (no pool, no journal) runs serially with no extras — the
-/// drivers' plain overloads forward to that.
+/// RunContext (no pool, no journal) runs serially with no extras — the plain
+/// overloads of run_fault_sweep, run_protocol_sweep, hecr_table and
+/// run_campaign forward to that.
 struct RunContext {
   parallel::ThreadPool* pool = nullptr;  ///< null = run units serially, in order
   Journal* journal = nullptr;            ///< null = no checkpointing

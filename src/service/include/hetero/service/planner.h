@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <string>
 
-#include "hetero/core/batch.h"
 #include "hetero/core/cancel.h"
 #include "hetero/core/environment.h"
 #include "hetero/service/http.h"
@@ -49,10 +48,6 @@ struct PlannerConfig {
   core::Environment env = core::Environment::paper_default();
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 16;
-  /// Fan-out hook for batch ("profiles") queries; empty = serial.  Must not
-  /// share the HTTP worker pool (a connection task blocking on subtasks
-  /// queued behind other connection tasks deadlocks a saturated pool).
-  core::BatchExecutor batch_executor;
   std::size_t max_machines = 1 << 16;      ///< per-profile size cap
   std::size_t max_batch_profiles = 4096;   ///< "profiles" array cap
   std::size_t max_exact_machines = 12;     ///< exact-LP /v1/allocate cap

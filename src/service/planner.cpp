@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "hetero/core/batch.h"
 #include "hetero/core/power.h"
 #include "hetero/core/profile.h"
 #include "hetero/core/speedup.h"
@@ -466,7 +467,7 @@ HttpResponse Planner::dispatch(const HttpRequest& request, const core::CancelTok
       core::BatchRequest measures;
       measures.x = true;
       std::vector<core::ProfileMeasures> results(profiles.size());
-      core::batch_evaluate_into(views, env, measures, results, config_.batch_executor);
+      core::batch_evaluate_into(views, env, measures, results);
       Json xs = Json::array();
       for (const core::ProfileMeasures& m : results) xs.push_back(Json{m.x});
       Json out = Json::object();

@@ -1,6 +1,6 @@
 // core::batch_evaluate: every measure bit-identical to its single-profile
-// entry point, serial or through a ThreadPool executor, fused or not; the
-// in-order FIFO closed form bit-identical to protocol::fifo_allocations.
+// entry point, fused or not; the in-order FIFO closed form bit-identical to
+// protocol::fifo_allocations.
 
 #include "hetero/core/batch.h"
 
@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "hetero/core/power.h"
-#include "hetero/parallel/batch.h"
-#include "hetero/parallel/thread_pool.h"
 #include "hetero/protocol/fifo.h"
 #include "hetero/random/rng.h"
 
@@ -85,25 +83,6 @@ TEST(BatchEvaluate, FusedAndSeparateSweepsAgreeBitForBit) {
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     EXPECT_EQ(fused[i].x, xs[i].x);
     EXPECT_EQ(fused[i].hecr, hecrs[i].hecr);
-  }
-}
-
-TEST(BatchEvaluate, PoolExecutorMatchesSerialBitForBit) {
-  const auto profiles = random_profiles(64, 12);
-  const auto views = views_of(profiles);
-  BatchRequest request;
-  request.x = true;
-  request.work_rate = true;
-  request.hecr = true;
-  const auto serial = batch_evaluate(std::span{views}, kEnv, request);
-  parallel::ThreadPool pool{4};
-  const auto parallel_out =
-      batch_evaluate(std::span{views}, kEnv, request, parallel::pool_executor(pool));
-  ASSERT_EQ(serial.size(), parallel_out.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].x, parallel_out[i].x);
-    EXPECT_EQ(serial[i].work_rate, parallel_out[i].work_rate);
-    EXPECT_EQ(serial[i].hecr, parallel_out[i].hecr);
   }
 }
 

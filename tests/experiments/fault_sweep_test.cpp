@@ -4,9 +4,9 @@
 
 #include <stdexcept>
 
-#include "hetero/parallel/batch.h"
 #include "hetero/parallel/thread_pool.h"
 #include "hetero/protocol/fifo.h"
+#include "hetero/runner/runner.h"
 
 namespace hetero::experiments {
 namespace {
@@ -50,21 +50,22 @@ TEST(FaultSweep, FaultFreeCellShowsNoDegradation) {
   EXPECT_DOUBLE_EQ(calm.mean_replans, 0.0);
 }
 
-TEST(FaultSweep, ExecutorOverloadBitIdenticalToSerial) {
-  // Cells fan out through a pool-backed BatchExecutor; seeds depend only on
+TEST(FaultSweep, PooledRunContextBitIdenticalToPlain) {
+  // Cells fan out over a 3-thread pool; seeds depend only on
   // (config.seed, cell index), so scheduling cannot change the numbers.
   const auto serial = run_fault_sweep(kSpeeds, kEnv, small_grid());
   parallel::ThreadPool pool{3};
-  const auto batched =
-      run_fault_sweep(kSpeeds, kEnv, small_grid(), parallel::pool_executor(pool));
-  ASSERT_EQ(serial.cells.size(), batched.cells.size());
+  runner::RunContext ctx;
+  ctx.pool = &pool;
+  const auto pooled = run_fault_sweep(kSpeeds, kEnv, small_grid(), ctx);
+  ASSERT_EQ(serial.cells.size(), pooled.cells.size());
   for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    EXPECT_EQ(serial.cells[i].crash_rate, batched.cells[i].crash_rate);
-    EXPECT_EQ(serial.cells[i].straggler_factor, batched.cells[i].straggler_factor);
-    EXPECT_EQ(serial.cells[i].oblivious_work, batched.cells[i].oblivious_work);  // bitwise
-    EXPECT_EQ(serial.cells[i].reactive_work, batched.cells[i].reactive_work);
-    EXPECT_EQ(serial.cells[i].mean_crashes, batched.cells[i].mean_crashes);
-    EXPECT_EQ(serial.cells[i].mean_replans, batched.cells[i].mean_replans);
+    EXPECT_EQ(serial.cells[i].crash_rate, pooled.cells[i].crash_rate);
+    EXPECT_EQ(serial.cells[i].straggler_factor, pooled.cells[i].straggler_factor);
+    EXPECT_EQ(serial.cells[i].oblivious_work, pooled.cells[i].oblivious_work);  // bitwise
+    EXPECT_EQ(serial.cells[i].reactive_work, pooled.cells[i].reactive_work);
+    EXPECT_EQ(serial.cells[i].mean_crashes, pooled.cells[i].mean_crashes);
+    EXPECT_EQ(serial.cells[i].mean_replans, pooled.cells[i].mean_replans);
   }
 }
 

@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "hetero/parallel/batch.h"
 #include "hetero/parallel/thread_pool.h"
 #include "hetero/protocol/fifo.h"
+#include "hetero/runner/runner.h"
 
 namespace hetero::experiments {
 namespace {
@@ -81,16 +81,17 @@ TEST(ProtocolSweep, CellInvariantsHold) {
   EXPECT_EQ(fifo_calm.mean_completed_work, reactive_calm.mean_completed_work);
 }
 
-TEST(ProtocolSweep, DeterministicAndExecutorBitIdentical) {
+TEST(ProtocolSweep, DeterministicAndPooledBitIdentical) {
   const auto serial = run_protocol_sweep(kSpeeds, kEnv, small_grid());
   const auto again = run_protocol_sweep(kSpeeds, kEnv, small_grid());
   parallel::ThreadPool pool{3};
-  const auto batched =
-      run_protocol_sweep(kSpeeds, kEnv, small_grid(), parallel::pool_executor(pool));
+  runner::RunContext ctx;
+  ctx.pool = &pool;
+  const auto pooled = run_protocol_sweep(kSpeeds, kEnv, small_grid(), ctx);
   ASSERT_EQ(serial.cells.size(), again.cells.size());
-  ASSERT_EQ(serial.cells.size(), batched.cells.size());
+  ASSERT_EQ(serial.cells.size(), pooled.cells.size());
   for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    for (const auto* other : {&again.cells[i], &batched.cells[i]}) {
+    for (const auto* other : {&again.cells[i], &pooled.cells[i]}) {
       EXPECT_EQ(serial.cells[i].mean_makespan, other->mean_makespan);  // bitwise
       EXPECT_EQ(serial.cells[i].hit_rate, other->hit_rate);
       EXPECT_EQ(serial.cells[i].mean_completed_work, other->mean_completed_work);
@@ -101,7 +102,7 @@ TEST(ProtocolSweep, DeterministicAndExecutorBitIdentical) {
       EXPECT_EQ(serial.cells[i].mean_crashes, other->mean_crashes);
     }
   }
-  EXPECT_EQ(protocol_sweep_csv(serial), protocol_sweep_csv(batched));  // byte-identical
+  EXPECT_EQ(protocol_sweep_csv(serial), protocol_sweep_csv(pooled));  // byte-identical
 }
 
 TEST(ProtocolSweep, ProtocolAxisIsConfigurable) {

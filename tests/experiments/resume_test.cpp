@@ -227,6 +227,29 @@ TEST_F(ResumeTest, VariancePredictorResumeIsBitIdentical) {
   EXPECT_EQ(resumed.skipped, classic.skipped);
 }
 
+TEST(VariancePredictor, RunContextResultIsIndependentOfThePool) {
+  // The ThreadPool overload's moment states follow the pool's chunking;
+  // the RunContext overload reduces fixed-size batches in batch order, so
+  // serial and pooled runs agree bit for bit.
+  constexpr std::size_t kN = 8;
+  constexpr std::size_t kTrials = 4000;
+  constexpr std::uint64_t kSeed = 42;
+  constexpr std::size_t kBatch = 256;  // 16 batches
+  runner::RunContext serial;
+  const auto expected = variance_predictor_experiment(kN, kTrials, kSeed, kEnv, serial, kBatch);
+  parallel::ThreadPool pool{3};
+  runner::RunContext pooled;
+  pooled.pool = &pool;
+  const auto actual = variance_predictor_experiment(kN, kTrials, kSeed, kEnv, pooled, kBatch);
+
+  EXPECT_EQ(actual.trials, expected.trials);
+  EXPECT_EQ(actual.good, expected.good);
+  EXPECT_EQ(actual.bad, expected.bad);
+  EXPECT_EQ(actual.skipped, expected.skipped);
+  expect_same_moments(actual.hecr_gap_when_good, expected.hecr_gap_when_good);
+  expect_same_moments(actual.hecr_gap_when_bad, expected.hecr_gap_when_bad);
+}
+
 TEST_F(ResumeTest, ThresholdSearchResumeIsBitIdentical) {
   constexpr std::size_t kN = 6;
   constexpr std::size_t kTrialsPerBin = 40;
